@@ -7,9 +7,7 @@
 //! harness code shared by:
 //!
 //! * the `table1` binary — prints the reproduced Table 1;
-//! * the `figure7` binary — prints the reproduced Figure 7 series;
-//! * the Criterion benches in `benches/` — measure detector throughput and
-//!   the scaling behaviour claimed by Theorem 3.
+//! * the `figure7` binary — prints the reproduced Figure 7 series.
 //!
 //! The workloads are the deterministic benchmark models from `rapid-gen`
 //! (see `DESIGN.md` §4 for the substitution rationale); absolute timings are

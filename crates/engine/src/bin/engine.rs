@@ -19,12 +19,11 @@
 //!                                         # straggling leases are re-granted to idle
 //!                                         # workers (first result wins)
 //! engine work    <addr> [--jobs N] [--retries N] [--retry-max-wait SECS]
-//!                       [--cache-bytes N] [--no-prefetch]
+//!                       [--cache-bytes N]
 //!                                         # worker: lease, analyze, return outcomes;
 //!                                         # reconnects with capped exponential backoff;
 //!                                         # caches shard bytes by content id (HAVE skips
-//!                                         # re-transfers) and prefetches lease N+1 while
-//!                                         # lease N analyzes unless --no-prefetch
+//!                                         # re-transfers)
 //! engine submit  <addr> [--job NAME [files-or-dirs...]] [--timeout SECS]
 //!                       [--races] [--fail-on-race]
 //!                                         # open a named job / fetch its merged report
@@ -98,7 +97,6 @@ struct Options {
     retries: u32,
     retry_max_wait: u64,
     cache_bytes: usize,
-    no_prefetch: bool,
     speculate_after: Option<f64>,
     chaos_seed: Option<u64>,
 }
@@ -108,9 +106,8 @@ const USAGE: &str = "usage: engine <stream|batch> <file> [--format std|csv] \
 [--races] [--quiet] [--fail-on-race]\n       engine multi <files-or-dirs...> [--jobs N] \
 [--per-shard] [same flags]\n       engine serve [files-or-dirs...] --bind ADDR [--once] \
 [--jobs-hint N] [--lease-timeout SECS] [--speculate-after SECS] [same flags]\n       \
-engine work <addr> [--jobs N] [--retries N] [--retry-max-wait SECS] [--cache-bytes N] \
-[--no-prefetch]\n       engine submit <addr> [--job NAME \
-[files-or-dirs...]] [--timeout SECS] [--races] [--fail-on-race]\n       \
+engine work <addr> [--jobs N] [--retries N] [--retry-max-wait SECS] [--cache-bytes N]\n       \
+engine submit <addr> [--job NAME [files-or-dirs...]] [--timeout SECS] [--races] [--fail-on-race]\n       \
 engine shutdown <addr>\n       engine convert <in> <out> [--format std|csv]\n\
 serve|work|submit also take --chaos-seed N (test/bench only: deterministic fault \
 injection into the transport, replayable from the seed)";
@@ -124,20 +121,9 @@ fn parse_args() -> Result<Options, String> {
     if mode == "--help" || mode == "-h" {
         return Err(USAGE.to_owned());
     }
-    // `bench-dist` is deliberately absent from the usage text: a
-    // perf-smoke harness (in-process cluster, double submit, scheduling
-    // metrics as a table), not part of the supported surface.
     if !matches!(
         mode.as_str(),
-        "stream"
-            | "batch"
-            | "multi"
-            | "convert"
-            | "serve"
-            | "work"
-            | "submit"
-            | "shutdown"
-            | "bench-dist"
+        "stream" | "batch" | "multi" | "convert" | "serve" | "work" | "submit" | "shutdown"
     ) {
         return Err(format!("unknown mode `{mode}`\n{USAGE}"));
     }
@@ -163,7 +149,6 @@ fn parse_args() -> Result<Options, String> {
         retries: 3,
         retry_max_wait: 30,
         cache_bytes: 64 << 20,
-        no_prefetch: false,
         speculate_after: None,
         chaos_seed: None,
     };
@@ -252,7 +237,6 @@ fn parse_args() -> Result<Options, String> {
                 options.cache_bytes =
                     value.parse().map_err(|_| format!("invalid cache size {value}"))?;
             }
-            "--no-prefetch" => options.no_prefetch = true,
             "--speculate-after" => {
                 let value = args.next().ok_or("--speculate-after requires seconds")?;
                 let secs: f64 =
@@ -279,14 +263,14 @@ fn parse_args() -> Result<Options, String> {
     }
     let expected = match options.mode.as_str() {
         "convert" => "an input and an output path",
-        "multi" | "bench-dist" => "at least one trace file or directory",
+        "multi" => "at least one trace file or directory",
         "work" | "shutdown" => "a coordinator address",
         "submit" => "a coordinator address (then optional shard files)",
         _ => "a trace file",
     };
     let arity_ok = match options.mode.as_str() {
         "convert" => options.paths.len() == 2,
-        "multi" | "bench-dist" => !options.paths.is_empty(),
+        "multi" => !options.paths.is_empty(),
         "serve" => true, // zero files = a pure resident service
         "work" | "shutdown" => options.paths.len() == 1,
         "submit" => !options.paths.is_empty(),
@@ -585,7 +569,6 @@ fn run_work(options: &Options) -> Result<bool, String> {
         retries: options.retries,
         retry_max_wait: Duration::from_secs(options.retry_max_wait),
         cache_bytes: options.cache_bytes,
-        prefetch: !options.no_prefetch,
         chaos: chaos(options),
         ..dist::WorkConfig::default()
     };
@@ -635,66 +618,6 @@ fn run_submit(options: &Options) -> Result<bool, String> {
         &report.merged,
     );
     Ok(any_races(&report.merged))
-}
-
-/// The hidden `bench-dist` mode: an in-process coordinator + one worker
-/// fleet, the shard files submitted twice under one job name (a cold
-/// pass, then a warm one that exercises name reuse and the shard cache),
-/// and each pass's scheduling metrics printed as a table — so perf runs
-/// don't need JSON spelunking.
-fn run_bench_dist(options: &Options) -> Result<bool, String> {
-    build_detectors(options, 0)?;
-    let paths = shard_paths(options)?;
-    let serve = ServeConfig {
-        spec: spec(options),
-        text: text_override(options),
-        lease_timeout: Duration::from_secs(options.lease_timeout),
-        speculate_after: options.speculate_after.map(Duration::from_secs_f64),
-        ..ServeConfig::default()
-    };
-    let coordinator = dist::Coordinator::bind(&[], &serve)?;
-    let addr = coordinator.local_addr().to_string();
-    let server = std::thread::spawn(move || coordinator.run());
-    let work_config = dist::WorkConfig {
-        jobs: options.jobs,
-        cache_bytes: options.cache_bytes,
-        prefetch: !options.no_prefetch,
-        ..dist::WorkConfig::default()
-    };
-    let worker = {
-        let addr = addr.clone();
-        std::thread::spawn(move || dist::work(&addr, &work_config))
-    };
-    println!(
-        "{:<5} {:>7} {:>18} {:>11} {:>14} {:>11}",
-        "pass", "shards", "bytes_transferred", "cache_hits", "leases_stolen", "wall"
-    );
-    let mut races = false;
-    for pass in ["cold", "warm"] {
-        let submit_config = dist::SubmitConfig {
-            job: Some("bench-dist".to_owned()),
-            paths: paths.clone(),
-            spec: spec(options),
-            text: text_override(options),
-            ..dist::SubmitConfig::default()
-        };
-        let report = dist::submit(&addr, &submit_config)?;
-        let metric = |name: &str| report.scheduling.get(name).unwrap_or(0.0) as u64;
-        println!(
-            "{:<5} {:>7} {:>18} {:>11} {:>14} {:>11}",
-            pass,
-            report.shards,
-            metric("bytes_transferred"),
-            metric("cache_hits"),
-            metric("leases_stolen"),
-            format!("{:.2?}", report.wall),
-        );
-        races = races || any_races(&report.merged);
-    }
-    dist::shutdown(&addr)?;
-    worker.join().map_err(|_| "worker thread panicked".to_owned())??;
-    server.join().map_err(|_| "serve thread panicked".to_owned())??;
-    Ok(races)
 }
 
 /// The `shutdown` mode: ask a resident coordinator to drain and exit.
@@ -776,7 +699,6 @@ fn main() -> ExitCode {
         "work" => run_work(&options),
         "submit" => run_submit(&options),
         "shutdown" => run_shutdown(&options),
-        "bench-dist" => run_bench_dist(&options),
         _ => run(&options),
     };
     match result {

@@ -113,10 +113,11 @@ pub struct ServeSummary {
 
 /// Where a shard's bytes come from.  File-backed shards (the default job)
 /// are read per *lease*, not held for the whole run; streamed shards hold
-/// the client's bytes until the job completes.
+/// the client's bytes until the job completes, then release them.
 enum ShardSource {
     Path(PathBuf),
     Bytes(Arc<Vec<u8>>),
+    Released,
 }
 
 /// One shard as the coordinator stores it.
@@ -220,6 +221,19 @@ impl Job {
     /// or closed with every shard accounted for.
     fn is_complete(&self) -> bool {
         self.aborted.is_some() || (!self.open && self.completed == self.declared)
+    }
+
+    /// Stamps the job finished and drops its streamed shard bytes: only the
+    /// folded results and the name outlive completion (`FETCH` and name
+    /// reuse read them), and a lease still in a worker's hands holds its
+    /// own `Arc` clone.
+    fn finish(&mut self) {
+        self.finished = Some(Instant::now());
+        for meta in self.shards.iter_mut().flatten() {
+            if let ShardSource::Bytes(_) = meta.source {
+                meta.source = ShardSource::Released;
+            }
+        }
     }
 
     /// The display name of a shard, for error paths (falls back to the
@@ -477,9 +491,7 @@ impl Shared {
     /// leases, then picks a shard — rendezvous-preferred, LPT-ordered —
     /// or, when the queue is dry and speculation is enabled, steals the
     /// oldest in-flight lease as a backup task.  Never blocks: `Empty`
-    /// tells the caller to poll its own socket and retry, which is what
-    /// keeps a pipelined worker's queued `OUTCOME` frames draining while
-    /// its next `LEASE` waits for work.
+    /// tells the caller to poll its own socket and retry.
     fn try_claim(&self, worker: u64) -> ClaimWait {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
         let now = Instant::now();
@@ -586,7 +598,7 @@ impl Shared {
         // original worker's late result arrives — drop the duplicate work.
         job.pending.retain(|&queued| queued != shard);
         if job.is_complete() {
-            job.finished = Some(Instant::now());
+            job.finish();
         }
         self.finish_or_notify(reg);
         true
@@ -631,7 +643,7 @@ impl Shared {
                     Some(format!("job {} aborted: the coordinator is draining", job.name));
                 job.pending.clear();
                 job.leases.clear();
-                job.finished = Some(Instant::now());
+                job.finish();
             }
         }
         self.finish_or_notify(reg);
@@ -874,6 +886,9 @@ fn load_shard(
     let spec = job.spec.clone();
     let loaded = match &meta.source {
         ShardSource::Bytes(bytes) => Ok((Arc::clone(bytes), meta.content)),
+        // The job completed between selection and load (a speculative
+        // winner folded it): nothing left to grant.
+        ShardSource::Released => return None,
         ShardSource::Path(path) => {
             let path = path.clone();
             drop(reg); // file I/O happens outside the registry lock
@@ -955,8 +970,8 @@ fn send_grant(
 /// The poll cadence of a `LEASE` waiting on an empty queue: short enough
 /// that a freshly-opened job, a requeued shard, or a ripening speculation
 /// target reaches the idle worker within ~5ms, and doubling as the pacing
-/// sleep between claim attempts (each poll drains any `OUTCOME` the
-/// pipelined worker queued meanwhile).
+/// sleep between claim attempts (each poll also notices a worker that
+/// hung up while it waited).
 const CLAIM_POLL: Duration = Duration::from_millis(5);
 
 /// The read timeout of a worker connection with no claim outstanding —
@@ -965,12 +980,9 @@ const WORKER_IDLE_POLL: Duration = Duration::from_millis(500);
 
 fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
     shared.register_worker(conn);
-    // One claim may be outstanding at a time (the worker's transfer
-    // thread pipelines lease N+1 while lease N analyzes).  While it
-    // waits, the socket is polled on a short timeout so queued
-    // OUTCOME/FAILED frames keep folding — the old blocking claim would
-    // deadlock here: the coordinator waiting for the queue, the queue
-    // waiting for the outcome sitting unread in this very socket.
+    // One claim may be outstanding at a time.  While it waits, the
+    // socket is polled on a short timeout, so a worker that hangs up or
+    // a service that shuts down is noticed without a blocking wait.
     let mut pending_lease = false;
     let mut fast_poll = false;
     'conn: loop {
@@ -1163,7 +1175,7 @@ fn close_job(shared: &Shared, job_id: u32) -> Result<(), String> {
     }
     job.open = false;
     if job.is_complete() {
-        job.finished = Some(Instant::now());
+        job.finish();
     }
     drop(reg);
     shared.cond.notify_all();
@@ -1283,5 +1295,61 @@ fn serve_client(shared: &Shared, mut stream: RwpStream, _conn: u64) {
             }
             Ok(Incoming::Message(_)) | Ok(Incoming::Eof) | Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::worker::{self, SubmitConfig, WorkConfig};
+
+    #[test]
+    fn completed_jobs_release_their_streamed_shard_bytes() {
+        // A resident coordinator used to keep every completed job's
+        // uploaded shards, so its memory grew with the job count.
+        let path = std::env::temp_dir()
+            .join(format!("rapid-coordinator-release-{}.std", std::process::id()));
+        std::fs::write(&path, "t1|w(x)|A:1\nt2|r(x)|B:2\n").expect("shard writes");
+        let coordinator =
+            Coordinator::bind(&[], &ServeConfig::default()).expect("resident coordinator binds");
+        let addr = coordinator.local_addr().to_string();
+        let control = coordinator.control();
+        let serve = std::thread::spawn(move || coordinator.run());
+        let worker_addr = addr.clone();
+        let worker = std::thread::spawn(move || {
+            worker::work(&worker_addr, &WorkConfig { jobs: Some(1), ..WorkConfig::default() })
+        });
+
+        // Sequential jobs under one reused name, each streaming two shards.
+        let jobs = 4;
+        for _ in 0..jobs {
+            let config = SubmitConfig {
+                job: Some("repeat".to_owned()),
+                paths: vec![path.clone(), path.clone()],
+                ..SubmitConfig::default()
+            };
+            let report = worker::submit(&addr, &config).expect("job folds");
+            assert_eq!(report.shards, 2);
+        }
+        {
+            let reg = control.shared.state.lock().expect("coordinator state");
+            assert_eq!(reg.jobs.len(), jobs);
+            for job in reg.jobs.values() {
+                assert!(job.is_complete());
+                assert!(job.fold().is_ok(), "the folded results outlive the bytes");
+                let retained = job
+                    .shards
+                    .iter()
+                    .flatten()
+                    .filter(|meta| matches!(meta.source, ShardSource::Bytes(_)))
+                    .count();
+                assert_eq!(retained, 0, "a completed job still holds {retained} uploaded shard(s)");
+            }
+        }
+
+        worker::shutdown(&addr).expect("coordinator drains");
+        worker.join().expect("worker thread").expect("worker completes");
+        serve.join().expect("serve thread").expect("serve completes");
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -44,10 +44,8 @@
 //!   pair pumping the same [`drive_queue`](crate::driver::drive_queue)
 //!   loop as the local pool (reconnecting with capped exponential backoff
 //!   when the coordinator drops), with an optional content-addressed
-//!   [`ShardCache`](worker::ShardCache) and a prefetch pipeline that
-//!   overlaps the next lease's transfer with the current shard's
-//!   analysis, and the submit client that opens jobs, streams shards,
-//!   and fetches per-job merged reports.
+//!   [`ShardCache`](worker::ShardCache), and the submit client that opens
+//!   jobs, streams shards, and fetches per-job merged reports.
 //!
 //! # Distributed ≡ local
 //!

@@ -1,7 +1,6 @@
 //! The worker side of the distributed driver: a TCP [`WorkSource`] /
 //! [`ResultSink`] pair with a bounded content-addressed shard cache
-//! (grants whose bytes are resident answer `HAVE` and skip the pull), a
-//! prefetch pipeline that fetches lease N+1 while lease N analyzes, the
+//! (grants whose bytes are resident answer `HAVE` and skip the pull), the
 //! `engine work` loop built on [`drive_queue`](crate::driver::drive_queue)
 //! with capped-exponential reconnect backoff, and the `engine submit`
 //! client that opens named jobs, streams shards as chunks, and fetches
@@ -11,12 +10,12 @@ use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rapid_trace::format::TextFormat;
 
-use crate::detector::{Detector, DetectorSpec};
+use crate::detector::DetectorSpec;
 use crate::driver::{
     drive_queue, DriverConfig, DriverError, QueueStats, ResultSink, ShardInput, ShardRun, WorkItem,
     WorkSource,
@@ -240,27 +239,21 @@ impl RemoteQueue {
     fn transport_error(&self, message: String) -> DriverError {
         DriverError { path: PathBuf::from(&self.addr), message }
     }
+}
 
-    /// One `LEASE` round-trip on an already-locked stream.  `drain` runs
-    /// before the lease goes out and again on every idle tick of the
-    /// grant wait — the prefetch pump flushes finished results through
-    /// it, because the coordinator may be holding this very lease open
-    /// while it waits for one of them.  `STALE` acks (the non-fatal
-    /// answer to a result whose shard already folded elsewhere) are
-    /// dropped wherever they surface.
-    fn claim_on(
-        &self,
-        stream: &mut RwpStream,
-        drain: &mut dyn FnMut(&mut RwpStream) -> Result<(), DriverError>,
-    ) -> Result<Option<WorkItem>, DriverError> {
-        drain(stream)?;
+impl WorkSource for RemoteQueue {
+    /// One `LEASE` round-trip.  `STALE` acks (the non-fatal answer to a
+    /// result whose shard already folded elsewhere) are dropped wherever
+    /// they surface.
+    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
+        let mut guard = self.stream.lock().expect("remote queue poisoned");
+        let stream = &mut *guard;
         proto::write_message(stream, &Message::Lease)
             .map_err(|error| self.transport_error(error.to_string()))?;
         let lease_patience = self.patience.unwrap_or(LEASE_PATIENCE);
         let chunk_patience = self.patience.unwrap_or(CHUNK_PATIENCE);
         let deadline = Instant::now() + lease_patience;
         loop {
-            drain(stream)?;
             match proto::read_message(stream) {
                 Ok(Incoming::Message(Message::Grant {
                     job,
@@ -329,14 +322,11 @@ impl RemoteQueue {
             }
         }
     }
+}
 
-    /// Sends one finished result on an already-locked stream.
-    fn submit_on(
-        &self,
-        stream: &mut RwpStream,
-        id: usize,
-        result: Result<ShardRun, DriverError>,
-    ) -> Result<(), DriverError> {
+impl ResultSink for RemoteQueue {
+    /// Sends one finished result.
+    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
         let (job, shard) = unpack_id(id);
         let message = match result {
             Ok(run) => Message::Outcome {
@@ -355,151 +345,10 @@ impl RemoteQueue {
             },
             Err(error) => Message::Failed { job, shard, message: error.message },
         };
-        proto::write_message(stream, &message)
+        let mut stream = self.stream.lock().expect("remote queue poisoned");
+        proto::write_message(&mut *stream, &message)
             .map_err(|error| self.transport_error(error.to_string()))
     }
-}
-
-impl WorkSource for RemoteQueue {
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
-        let mut stream = self.stream.lock().expect("remote queue poisoned");
-        self.claim_on(&mut stream, &mut |_| Ok(()))
-    }
-}
-
-impl ResultSink for RemoteQueue {
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
-        let mut stream = self.stream.lock().expect("remote queue poisoned");
-        self.submit_on(&mut stream, id, result)
-    }
-}
-
-/// One `(shard id, result)` pair crossing the pipeline's result channel.
-type PipelineResult = (usize, Result<ShardRun, DriverError>);
-
-/// The analysis-facing half of the prefetch pipeline: `claim` receives
-/// items an I/O thread fetched ahead of time, `submit` hands results back
-/// without ever blocking on the network.  The channels cross a
-/// rendezvous boundary sized zero, so the pump stays exactly one lease
-/// ahead of analysis — enough to overlap transfer with detector compute,
-/// never enough to hoard shards a second worker could run.
-struct PipelinedQueue {
-    addr: String,
-    items: Mutex<mpsc::Receiver<Option<WorkItem>>>,
-    results: Mutex<mpsc::Sender<PipelineResult>>,
-    /// The pump's transport error, recorded *before* it closes the item
-    /// channel so the analysis side wakes to the cause.
-    failure: Mutex<Option<DriverError>>,
-}
-
-impl PipelinedQueue {
-    fn closed_error(&self) -> DriverError {
-        self.failure.lock().expect("pipeline poisoned").take().unwrap_or_else(|| DriverError {
-            path: PathBuf::from(&self.addr),
-            message: "prefetch pipeline closed unexpectedly".to_owned(),
-        })
-    }
-}
-
-impl WorkSource for PipelinedQueue {
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
-        match self.items.lock().expect("pipeline poisoned").recv() {
-            Ok(item) => Ok(item),
-            Err(_) => Err(self.closed_error()),
-        }
-    }
-}
-
-impl ResultSink for PipelinedQueue {
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
-        self.results
-            .lock()
-            .expect("pipeline poisoned")
-            .send((id, result))
-            .map_err(|_| self.closed_error())
-    }
-}
-
-/// The I/O half of the prefetch pipeline: claims lease N+1 while the
-/// analysis thread works on lease N, flushing finished results to the
-/// coordinator between lease polls.  Any transport error lands in
-/// `failure` before the item channel closes (the channel sender is owned
-/// here and drops on return).
-fn pump(
-    queue: &RemoteQueue,
-    item_tx: mpsc::SyncSender<Option<WorkItem>>,
-    result_rx: mpsc::Receiver<PipelineResult>,
-    failure: &Mutex<Option<DriverError>>,
-) {
-    if let Err(error) = pump_io(queue, &item_tx, &result_rx) {
-        *failure.lock().expect("pipeline poisoned") = Some(error);
-    }
-}
-
-/// The poll cadence of the pipelined connection: short enough that a
-/// result finishing while the next lease waits on an empty queue reaches
-/// the coordinator within ~5ms — the coordinator may be holding that
-/// very lease open until the result folds.
-const PIPELINE_POLL: Duration = Duration::from_millis(5);
-
-fn pump_io(
-    queue: &RemoteQueue,
-    item_tx: &mpsc::SyncSender<Option<WorkItem>>,
-    result_rx: &mpsc::Receiver<PipelineResult>,
-) -> Result<(), DriverError> {
-    {
-        let stream = queue.stream.lock().expect("remote queue poisoned");
-        let _ = stream.set_read_timeout(Some(PIPELINE_POLL));
-    }
-    loop {
-        let item = {
-            let mut stream = queue.stream.lock().expect("remote queue poisoned");
-            queue.claim_on(&mut stream, &mut |stream| {
-                while let Ok((id, result)) = result_rx.try_recv() {
-                    queue.submit_on(stream, id, result)?;
-                }
-                Ok(())
-            })?
-        };
-        let done = item.is_none();
-        if item_tx.send(item).is_err() {
-            // The analysis side bailed; its own error is already on
-            // record and there is nobody left to feed.
-            return Ok(());
-        }
-        if done {
-            // The rendezvous send above returned only after analysis
-            // consumed the end marker, so every result it will ever
-            // produce is already in the channel.  Flush the tail.
-            let mut stream = queue.stream.lock().expect("remote queue poisoned");
-            while let Ok((id, result)) = result_rx.try_recv() {
-                queue.submit_on(&mut stream, id, result)?;
-            }
-            return Ok(());
-        }
-    }
-}
-
-/// Runs [`drive_queue`] behind the prefetch pipeline: an I/O thread owns
-/// `queue`'s connection and keeps one lease in flight ahead of the
-/// analysis running on the calling thread.
-fn drive_pipelined<F>(queue: &RemoteQueue, factory: &F) -> Result<QueueStats, DriverError>
-where
-    F: Fn() -> Vec<Box<dyn Detector>>,
-{
-    let (item_tx, item_rx) = mpsc::sync_channel(0);
-    let (result_tx, result_rx) = mpsc::channel();
-    let pipeline = PipelinedQueue {
-        addr: queue.addr.clone(),
-        items: Mutex::new(item_rx),
-        results: Mutex::new(result_tx),
-        failure: Mutex::new(None),
-    };
-    std::thread::scope(|scope| {
-        let failure = &pipeline.failure;
-        scope.spawn(move || pump(queue, item_tx, result_rx, failure));
-        drive_queue(&pipeline, &pipeline, factory, &DriverConfig::default())
-    })
 }
 
 /// Configuration of one `engine work` invocation.
@@ -522,10 +371,6 @@ pub struct WorkConfig {
     /// connections *and* reconnect attempts (LRU by content id); 0
     /// disables caching and every grant pulls its chunks.
     pub cache_bytes: usize,
-    /// Double-buffer each connection: an I/O thread claims and fetches
-    /// lease N+1 while lease N analyzes, overlapping transfer with
-    /// detector compute.
-    pub prefetch: bool,
     /// Test/bench-only fault injection on this worker's connections
     /// (default off).  Connections are numbered 0, 1, … across reconnect
     /// attempts, so a schedule can hit the first connection and spare the
@@ -535,8 +380,8 @@ pub struct WorkConfig {
 
 impl Default for WorkConfig {
     /// No reconnects (fail fast — the library default; the CLI layers its
-    /// own default of 3 retries on top), 30-second backoff cap, no cache,
-    /// no prefetch (the CLI enables both by default).
+    /// own default of 3 retries on top), 30-second backoff cap, no cache
+    /// (the CLI enables a 64 MiB one by default).
     fn default() -> Self {
         WorkConfig {
             jobs: None,
@@ -544,7 +389,6 @@ impl Default for WorkConfig {
             retry_max_wait: Duration::from_secs(30),
             patience: None,
             cache_bytes: 0,
-            prefetch: false,
             chaos: ChaosConfig::default(),
         }
     }
@@ -604,12 +448,8 @@ fn work_attempt(
                     // the fallback for spec-less items, which a v2
                     // coordinator never sends.
                     let factory = || DetectorSpec::default().build().expect("default spec builds");
-                    if config.prefetch {
-                        drive_pipelined(&queue, &factory).map_err(|error| error.to_string())
-                    } else {
-                        drive_queue(&queue, &queue, &factory, &DriverConfig::default())
-                            .map_err(|error| error.to_string())
-                    }
+                    drive_queue(&queue, &queue, &factory, &DriverConfig::default())
+                        .map_err(|error| error.to_string())
                 };
                 match run() {
                     Ok(stats) => total.lock().expect("stats poisoned").absorb(stats),

@@ -175,7 +175,7 @@ impl std::error::Error for DriverError {}
 /// threads, returning results in input order.
 ///
 /// This is the driver's work queue, exposed because other harnesses (the
-/// Table 1 reproduction, the bench-smoke workload) fan their own units of
+/// Table 1 reproduction) fan their own units of
 /// work through it: items are claimed atomically off a shared cursor, so an
 /// expensive item never blocks the queue behind it, and results are slotted
 /// by index — worker interleaving cannot reorder them.

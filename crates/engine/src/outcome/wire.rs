@@ -3,8 +3,7 @@
 //!
 //! The [`Outcome`] algebra merges results by interned *names*, which makes
 //! outcomes from different processes foldable — but until this codec they
-//! had no way to *arrive* from another process (the workspace's `serde`
-//! stand-in derives are no-ops and cannot ship bytes).  This module is the
+//! had no way to *arrive* from another process.  This module is the
 //! missing wire encoding: the coordinator/worker protocol of
 //! [`dist`](crate::dist) embeds these blobs in its `OUTCOME` and `REPORT`
 //! messages, and the coordinator folds decoded outcomes through the exact

@@ -85,7 +85,7 @@ fn local_run(paths: &[PathBuf], jobs: usize) -> MultiReport {
 /// lease timeout and speculation armed, one clean worker (guaranteed
 /// progress), one chaotic worker whose every leasing connection runs
 /// under `chaos`, and a clean bounded submit.  Both workers run with the
-/// full scheduling surface on — shard caching *and* prefetch pipelining —
+/// full scheduling surface on — shard caching plus speculation —
 /// so the whole PR-9 feature set is exercised under faults at once.
 /// Asserts the full verdict-preservation contract against the local
 /// `jobs = 1` ground truth, plus the scheduling-metrics invariants.
@@ -118,7 +118,6 @@ fn assert_chaotic_worker_preserves_verdict(tag: &str, traces: &[Trace], chaos: C
             retries: 5,
             retry_max_wait: Duration::from_millis(250),
             cache_bytes: 8 << 20,
-            prefetch: true,
             ..WorkConfig::default()
         };
         dist::work(&clean_addr, &config).expect("the clean worker completes")
@@ -133,7 +132,6 @@ fn assert_chaotic_worker_preserves_verdict(tag: &str, traces: &[Trace], chaos: C
             // typed errors in seconds, not the production hour.
             patience: Some(Duration::from_secs(1)),
             cache_bytes: 8 << 20,
-            prefetch: true,
             chaos,
         };
         dist::work(&chaotic_addr, &config)

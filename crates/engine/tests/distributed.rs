@@ -680,49 +680,6 @@ fn worker_cache_is_keyed_by_content_not_job_identity() {
     cleanup(&second_paths);
 }
 
-#[test]
-fn prefetch_pipeline_matches_the_blocking_worker() {
-    // The prefetch pipeline (transfer of lease N+1 overlapped with the
-    // analysis of lease N) must be invisible in every result: same merged
-    // outcomes, same rendered race pairs, same shard accounting.
-    let traces = [
-        racy_trace("x", "A:1", "A:2"),
-        racy_trace("y", "B:1", "B:2"),
-        racy_trace("z", "C:1", "C:2"),
-        racy_trace("x", "A:1", "A:2"),
-    ];
-    let paths = write_shards("prefetch", &traces);
-    let jobs1 = local_run(&paths, &spec(), 1);
-
-    let config = ServeConfig { spec: spec(), once: true, ..ServeConfig::default() };
-    let coordinator = Coordinator::bind(&paths, &config).expect("coordinator binds");
-    let addr = coordinator.local_addr().to_string();
-    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
-    let worker_addr = addr.clone();
-    let worker = std::thread::spawn(move || {
-        let config = WorkConfig {
-            jobs: Some(2),
-            prefetch: true,
-            cache_bytes: 1 << 20,
-            ..WorkConfig::default()
-        };
-        dist::work(&worker_addr, &config).expect("worker completes")
-    });
-
-    let report = dist::submit(&addr, &SubmitConfig::default()).expect("submit succeeds");
-    worker.join().expect("worker thread");
-    serve.join().expect("serve thread");
-
-    let rendered = Engine::render_race_pairs(&jobs1.merged);
-    assert_eq!(rendered, Engine::render_race_pairs(&report.merged));
-    for (baseline, remote) in jobs1.merged.iter().zip(&report.merged) {
-        assert_eq!(baseline.outcome, remote.outcome, "the prefetch pipeline changed a verdict");
-        assert_eq!(remote.outcome.shards, paths.len());
-    }
-    assert_eq!(report.scheduling.get("leases_stolen"), Some(0.0));
-    cleanup(&paths);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 

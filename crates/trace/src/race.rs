@@ -3,14 +3,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventId;
 use crate::ids::{Location, VarId};
 use crate::trace::Trace;
 
 /// Which analysis flagged a race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceKind {
     /// Unordered by happens-before.
     Hb,
@@ -38,7 +36,7 @@ impl fmt::Display for RaceKind {
 ///
 /// `first` is the earlier event in trace order, `second` the later one (the
 /// event at which the streaming detectors raise the warning, §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Race {
     /// The earlier conflicting event.
     pub first: EventId,
@@ -84,7 +82,7 @@ impl fmt::Display for Race {
 }
 
 /// The collection of races reported by one analysis run over one trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RaceReport {
     races: Vec<Race>,
 }

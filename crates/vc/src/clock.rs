@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ThreadId;
 
 /// Result of comparing two vector clocks under the pointwise partial order.
@@ -39,7 +37,7 @@ pub enum ClockOrdering {
 /// assert_eq!(c.get(ThreadId::new(2)), 9);
 /// assert_eq!(c.get(ThreadId::new(5)), 0); // implicit zero
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     components: Vec<u64>,
 }

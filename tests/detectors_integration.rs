@@ -8,15 +8,26 @@ use rapid::trace::format;
 
 /// The benchmark models reproduce their Table 1 race counts exactly for WCP
 /// and HB (columns 6 and 7), on a representative subset covering small,
-/// lock-free, and WCP>HB (boldfaced) rows.
+/// lock-free, and WCP>HB (boldfaced) rows.  The full-clock reference WCP
+/// (no epoch fast paths, no pooling) must find the same count.
 #[test]
 fn benchmark_models_reproduce_table1_race_columns() {
-    for name in ["account", "airline", "array", "critical", "mergesort", "raytracer"] {
+    for name in ["account", "airline", "array", "critical", "mergesort", "moldyn", "raytracer"] {
         let model = benchmarks::benchmark(name).expect("benchmark exists");
         let wcp = WcpDetector::new().detect(&model.trace);
         let hb = HbDetector::new().detect(&model.trace);
         assert_eq!(wcp.distinct_pairs(), model.spec.wcp_races, "{name}: WCP race pairs (column 6)");
         assert_eq!(hb.distinct_pairs(), model.spec.hb_races, "{name}: HB race pairs (column 7)");
+        let mut reference =
+            WcpStream::with_config(model.trace.num_threads(), rapid::wcp::WcpConfig::reference());
+        for event in model.trace.events() {
+            reference.on_event(event);
+        }
+        assert_eq!(
+            reference.finish().report.distinct_pairs(),
+            model.spec.wcp_races,
+            "{name}: full-clock reference WCP race pairs"
+        );
     }
 }
 
