@@ -65,33 +65,20 @@ impl Default for DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// Builds one fresh detector set for stream contexts (threads are
-    /// discovered from the event stream).
+    /// Builds one fresh detector set (threads are discovered from the event
+    /// stream).
     ///
     /// # Errors
     ///
     /// An unknown detector name.
     pub fn build(&self) -> Result<Vec<Box<dyn Detector>>, String> {
-        self.build_with_threads(0)
-    }
-
-    /// Builds one fresh detector set, pre-registering `threads` known
-    /// threads (the batch path passes the trace's thread count so the
-    /// streaming cores reproduce the library batch entry points exactly).
-    ///
-    /// # Errors
-    ///
-    /// An unknown detector name.
-    pub fn build_with_threads(&self, threads: usize) -> Result<Vec<Box<dyn Detector>>, String> {
         self.detectors
             .iter()
             .map(|name| -> Result<Box<dyn Detector>, String> {
                 Ok(match name.as_str() {
-                    "wcp" => Box::new(rapid_wcp::WcpStream::with_threads(threads)),
-                    "hb" => Box::new(rapid_hb::HbStream::with_threads(threads)),
-                    "fasttrack" | "ft" => {
-                        Box::new(rapid_hb::FastTrackStream::with_threads(threads))
-                    }
+                    "wcp" => Box::new(rapid_wcp::WcpStream::new()),
+                    "hb" => Box::new(rapid_hb::HbStream::new()),
+                    "fasttrack" | "ft" => Box::new(rapid_hb::FastTrackStream::new()),
                     "mcm" => Box::new(rapid_mcm::McmStream::new(rapid_mcm::McmConfig::new(
                         self.window,
                         self.timeout_secs,
@@ -209,137 +196,20 @@ mod tests {
     use super::*;
     use rapid_trace::TraceBuilder;
 
-    /// The per-crate typed counters (`WcpStats::merge`, `HbStats::merge`,
-    /// `McmStats::merge`) must stay in lockstep with the engine's
-    /// [`Metrics`] aggregation rules, since both describe the same fields.
-    /// This test locks the correspondence for every shared field: merging
-    /// two runs' stats in the detector crate and re-deriving metrics equals
-    /// merging the two runs' [`Metrics`] directly.  (The one intentional
-    /// exception is WCP's *derived ratio* `max_queue_percentage`: `Metrics`
-    /// merges it as worst-shard Max, while a merged `WcpStats` would
-    /// recompute `max_entries / summed_events` — so it is excluded here and
-    /// documented on both sides.)
-    #[test]
-    fn typed_stats_merges_agree_with_metric_aggregation() {
-        let trace_of = |scripts: &[(&str, &str)]| {
-            let mut b = TraceBuilder::new();
-            let t1 = b.thread("t1");
-            let t2 = b.thread("t2");
-            let l = b.lock("l");
-            for &(thread, var) in scripts {
-                let thread = if thread == "t1" { t1 } else { t2 };
-                let var = b.variable(var);
-                b.acquire(thread, l);
-                b.write(thread, var);
-                b.release(thread, l);
-                b.write(thread, var);
-            }
-            b.finish()
-        };
-        let first = trace_of(&[("t1", "x"), ("t2", "x"), ("t1", "y")]);
-        let second = trace_of(&[("t2", "z"), ("t1", "z")]);
-
-        // WCP: raw counters align field by field.
-        let wcp_stats = |trace: &rapid_trace::Trace| {
-            let mut stream = rapid_wcp::WcpStream::new();
-            for event in trace.events() {
-                stream.on_event(event);
-            }
-            stream.finish().stats
-        };
-        let wcp_metrics = |trace: &rapid_trace::Trace| {
-            let mut stream = rapid_wcp::WcpStream::new();
-            for event in trace.events() {
-                Detector::on_event(&mut stream, event);
-            }
-            Detector::finish(&mut stream, trace).metrics
-        };
-        let mut merged_stats = wcp_stats(&first);
-        merged_stats.merge(&wcp_stats(&second));
-        let mut merged_metrics = wcp_metrics(&first);
-        merged_metrics.merge(&wcp_metrics(&second));
-        for (name, value) in [
-            ("max_queue_entries", merged_stats.max_queue_entries as f64),
-            ("threads", merged_stats.threads as f64),
-            ("locks", merged_stats.locks as f64),
-            ("queue_enqueues", merged_stats.queue_enqueues as f64),
-            ("clock_joins", merged_stats.clock_joins as f64),
-            ("race_events", merged_stats.race_events as f64),
-            ("epoch_fast_reads", merged_stats.epoch_fast_reads as f64),
-            ("epoch_fast_writes", merged_stats.epoch_fast_writes as f64),
-            ("pool_taken", merged_stats.pool_taken as f64),
-            ("pool_recycled", merged_stats.pool_recycled as f64),
-        ] {
-            assert_eq!(merged_metrics.get(name), Some(value), "wcp {name} drifted");
-        }
-
-        // HB: both fields align.
-        let hb_run = |trace: &rapid_trace::Trace| {
-            let mut stream = rapid_hb::HbStream::new();
-            for event in trace.events() {
-                stream.on_event(event);
-            }
-            stream.stats()
-        };
-        let mut hb_merged = hb_run(&first);
-        hb_merged.merge(&hb_run(&second));
-        assert_eq!(hb_merged.events, first.len() + second.len());
-        let mut hb_metrics = {
-            let mut stream = rapid_hb::HbStream::new();
-            for event in first.events() {
-                Detector::on_event(&mut stream, event);
-            }
-            Detector::finish(&mut stream, &first).metrics
-        };
-        hb_metrics.merge(&{
-            let mut stream = rapid_hb::HbStream::new();
-            for event in second.events() {
-                Detector::on_event(&mut stream, event);
-            }
-            Detector::finish(&mut stream, &second).metrics
-        });
-        assert_eq!(hb_metrics.get("race_events"), Some(hb_merged.race_events as f64));
-
-        // MCM: every field sums on both sides.
-        let mcm_run = |trace: &rapid_trace::Trace| {
-            let mut stream = rapid_mcm::McmStream::new(rapid_mcm::McmConfig::default());
-            for event in trace.events() {
-                stream.on_event(event);
-            }
-            stream.finish().1
-        };
-        let mut mcm_merged = mcm_run(&first);
-        mcm_merged.merge(&mcm_run(&second));
-        let mut mcm_metrics = {
-            let mut stream = rapid_mcm::McmStream::new(rapid_mcm::McmConfig::default());
-            for event in first.events() {
-                Detector::on_event(&mut stream, event);
-            }
-            Detector::finish(&mut stream, &first).metrics
-        };
-        mcm_metrics.merge(&{
-            let mut stream = rapid_mcm::McmStream::new(rapid_mcm::McmConfig::default());
-            for event in second.events() {
-                Detector::on_event(&mut stream, event);
-            }
-            Detector::finish(&mut stream, &second).metrics
-        });
-        for (name, value) in [
-            ("windows", mcm_merged.windows as f64),
-            ("candidate_pairs", mcm_merged.candidate_pairs as f64),
-            ("witnessed_pairs", mcm_merged.witnessed_pairs as f64),
-            ("budget_exhausted_pairs", mcm_merged.budget_exhausted_pairs as f64),
-        ] {
-            assert_eq!(mcm_metrics.get(name), Some(value), "mcm {name} drifted");
-        }
-    }
-
     #[test]
     fn trait_objects_cover_all_detectors() {
         let mut b = TraceBuilder::new();
         let t1 = b.thread("t1");
         let t2 = b.thread("t2");
+        let l = b.lock("l");
         let x = b.variable("x");
+        let y = b.variable("y");
+        b.critical_section(t1, l, |b| {
+            b.write(t1, y);
+        });
+        b.critical_section(t2, l, |b| {
+            b.read(t2, y);
+        });
         b.write(t1, x);
         b.write(t2, x);
         let trace = b.finish();
@@ -361,6 +231,47 @@ mod tests {
             assert!(!outcome.telemetry().is_empty());
             let pair = outcome.races.keys().next().expect("one race pair");
             assert_eq!(pair.variable, "x", "{}", outcome.detector);
+        }
+
+        // Each WCP and MCM metric equals the stats field it names.  The typed
+        // and the trait `finish` both consume a stream, so twin streams see
+        // the same events.
+        let mut wcp = [rapid_wcp::WcpStream::new(), rapid_wcp::WcpStream::new()];
+        let mcm_of = || rapid_mcm::McmStream::new(rapid_mcm::McmConfig::default());
+        let mut mcm = [mcm_of(), mcm_of()];
+        for event in trace.events() {
+            for stream in &mut wcp {
+                stream.on_event(event);
+            }
+            for stream in &mut mcm {
+                stream.on_event(event);
+            }
+        }
+        let stats = wcp[0].finish().stats;
+        let metrics = Detector::finish(&mut wcp[1], &trace).metrics;
+        for (name, value) in [
+            ("max_queue_entries", stats.max_queue_entries as u64),
+            ("threads", stats.threads as u64),
+            ("locks", stats.locks as u64),
+            ("queue_enqueues", stats.queue_enqueues),
+            ("clock_joins", stats.clock_joins),
+            ("race_events", stats.race_events as u64),
+            ("epoch_fast_reads", stats.epoch_fast_reads),
+            ("epoch_fast_writes", stats.epoch_fast_writes),
+            ("pool_taken", stats.pool_taken),
+            ("pool_recycled", stats.pool_recycled),
+        ] {
+            assert_eq!(metrics.get(name), Some(value as f64), "wcp {name}");
+        }
+        let (_, stats) = mcm[0].finish();
+        let metrics = Detector::finish(&mut mcm[1], &trace).metrics;
+        for (name, value) in [
+            ("windows", stats.windows),
+            ("candidate_pairs", stats.candidate_pairs),
+            ("witnessed_pairs", stats.witnessed_pairs),
+            ("budget_exhausted_pairs", stats.budget_exhausted_pairs),
+        ] {
+            assert_eq!(metrics.get(name), Some(value as f64), "mcm {name}");
         }
     }
 }

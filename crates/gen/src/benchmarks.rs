@@ -19,7 +19,9 @@
 //! The generated trace for benchmark *B* is a function of *B*'s spec only, so
 //! repeated runs (and the bench harness) see identical traces.
 
-use rapid_trace::{LockId, Trace, TraceBuilder, VarId};
+use std::collections::HashMap;
+
+use rapid_trace::{Location, LockId, Trace, TraceBuilder, VarId};
 use rapid_vc::ThreadId;
 
 /// Static description of one benchmark row of Table 1.
@@ -303,6 +305,8 @@ struct ModelBuilder {
     /// so that every filler thread takes part in every lock's locality block,
     /// which keeps Algorithm 1's queues draining.
     counter_episodes: usize,
+    /// Call sites interned so far, by (file, line).
+    sites: HashMap<(&'static str, usize), Location>,
 }
 
 impl ModelBuilder {
@@ -326,7 +330,27 @@ impl ModelBuilder {
             (0..spec.locks.max(1)).map(|i| builder.variable(&format!("counter{i}"))).collect();
         let locals =
             (0..spec.threads.max(2)).map(|i| builder.variable(&format!("local_t{i}"))).collect();
-        ModelBuilder { builder, threads, locks, counters, locals, spec, counter_episodes: 0 }
+        ModelBuilder {
+            builder,
+            threads,
+            locks,
+            counters,
+            locals,
+            spec,
+            counter_episodes: 0,
+            sites: HashMap::new(),
+        }
+    }
+
+    /// Sets the next event's location to `{benchmark}/{file}:{line}`,
+    /// interning each call site once, on first use.
+    fn at(&mut self, file: &'static str, line: usize) {
+        let (builder, name) = (&mut self.builder, self.spec.name);
+        let location = *self
+            .sites
+            .entry((file, line))
+            .or_insert_with(|| builder.location(&format!("{name}/{file}:{line}")));
+        self.builder.at_location(location);
     }
 
     /// The thread reserved for the late half of far races (it is kept out of
@@ -366,28 +390,24 @@ impl ModelBuilder {
         let counter = self.counters[lock.index() % self.counters.len()];
         let local = self.locals[thread.index() % self.locals.len()];
         let site = step % 17;
-        self.builder.at(&format!("{}/Counter.java:{}", self.spec.name, 10 + site));
+        self.at("Counter.java", 10 + site);
         self.builder.acquire(thread, lock);
-        self.builder.at(&format!("{}/Counter.java:{}", self.spec.name, 11 + site));
+        self.at("Counter.java", 11 + site);
         self.builder.read(thread, counter);
-        self.builder.at(&format!("{}/Counter.java:{}", self.spec.name, 12 + site));
+        self.at("Counter.java", 12 + site);
         self.builder.write(thread, counter);
         // Real critical sections are dominated by ordinary (non-racy) memory
         // accesses; keep the synchronization fraction of the trace realistic.
         let body = 8 + step % 8;
         for offset in 0..body {
-            self.builder.at(&format!(
-                "{}/Counter.java:{}",
-                self.spec.name,
-                20 + (site + offset) % 31
-            ));
+            self.at("Counter.java", 20 + (site + offset) % 31);
             if offset % 3 == 0 {
                 self.builder.write(thread, local);
             } else {
                 self.builder.read(thread, local);
             }
         }
-        self.builder.at(&format!("{}/Counter.java:{}", self.spec.name, 13 + site));
+        self.at("Counter.java", 13 + site);
         self.builder.release(thread, lock);
     }
 
@@ -399,9 +419,9 @@ impl ModelBuilder {
         };
         let local = self.locals[thread.index() % self.locals.len()];
         let site = step % 23;
-        self.builder.at(&format!("{}/Local.java:{}", self.spec.name, 40 + site));
+        self.at("Local.java", 40 + site);
         self.builder.read(thread, local);
-        self.builder.at(&format!("{}/Local.java:{}", self.spec.name, 41 + site));
+        self.at("Local.java", 41 + site);
         self.builder.write(thread, local);
     }
 
@@ -414,9 +434,9 @@ impl ModelBuilder {
             (threads[index % threads.len()], threads[(index + 1) % threads.len()])
         };
         let variable = self.builder.variable(&format!("near_racy{index}"));
-        self.builder.at(&format!("{}/Near.java:{}", self.spec.name, 100 + 2 * index));
+        self.at("Near.java", 100 + 2 * index);
         self.builder.write(writer, variable);
-        self.builder.at(&format!("{}/Near.java:{}", self.spec.name, 101 + 2 * index));
+        self.at("Near.java", 101 + 2 * index);
         self.builder.read(reader, variable);
     }
 
@@ -435,21 +455,21 @@ impl ModelBuilder {
         let x = self.builder.variable(&format!("wcp_guarded{index}"));
         let y = self.builder.variable(&format!("wcp_racy{index}"));
         let base = 200 + 8 * index;
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base));
+        self.at("Wcp.java", base);
         self.builder.write(t1, y);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 1));
+        self.at("Wcp.java", base + 1);
         self.builder.acquire(t1, lock);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 2));
+        self.at("Wcp.java", base + 2);
         self.builder.write(t1, x);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 3));
+        self.at("Wcp.java", base + 3);
         self.builder.release(t1, lock);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 4));
+        self.at("Wcp.java", base + 4);
         self.builder.acquire(t2, lock);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 5));
+        self.at("Wcp.java", base + 5);
         self.builder.read(t2, y);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 6));
+        self.at("Wcp.java", base + 6);
         self.builder.read(t2, x);
-        self.builder.at(&format!("{}/Wcp.java:{}", self.spec.name, base + 7));
+        self.at("Wcp.java", base + 7);
         self.builder.release(t2, lock);
     }
 
@@ -461,7 +481,7 @@ impl ModelBuilder {
             threads[index % threads.len()]
         };
         let variable = self.builder.variable(&format!("far_racy{index}"));
-        self.builder.at(&format!("{}/Far.java:{}", self.spec.name, 300 + 2 * index));
+        self.at("Far.java", 300 + 2 * index);
         self.builder.write(writer, variable);
     }
 
@@ -470,7 +490,7 @@ impl ModelBuilder {
     fn far_race_read(&mut self, index: usize) {
         let reader = self.late_thread();
         let variable = self.builder.variable(&format!("far_racy{index}"));
-        self.builder.at(&format!("{}/Far.java:{}", self.spec.name, 301 + 2 * index));
+        self.at("Far.java", 301 + 2 * index);
         self.builder.read(reader, variable);
     }
 }

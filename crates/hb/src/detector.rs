@@ -264,7 +264,7 @@ impl HbStream {
     }
 }
 
-/// Typed, mergeable counters describing one HB-family streaming run
+/// Typed counters describing one HB-family streaming run
 /// ([`HbStream`] or [`FastTrackStream`](crate::FastTrackStream)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HbStats {
@@ -272,26 +272,6 @@ pub struct HbStats {
     pub events: usize,
     /// Number of race events reported (not deduplicated by location pair).
     pub race_events: usize,
-}
-
-impl HbStats {
-    /// Folds another run's counters into this one (both fields sum).
-    pub fn merge(&mut self, other: &HbStats) {
-        self.events += other.events;
-        self.race_events += other.race_events;
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::HbStats;
-
-    #[test]
-    fn merge_sums_both_fields() {
-        let mut left = HbStats { events: 10, race_events: 2 };
-        left.merge(&HbStats { events: 5, race_events: 1 });
-        assert_eq!(left, HbStats { events: 15, race_events: 3 });
-    }
 }
 
 impl HbDetector {

@@ -25,17 +25,6 @@ pub struct McmStats {
     pub budget_exhausted_pairs: usize,
 }
 
-impl McmStats {
-    /// Folds another run's counters into this one (every field is a total,
-    /// so all four sum).
-    pub fn merge(&mut self, other: &McmStats) {
-        self.windows += other.windows;
-        self.candidate_pairs += other.candidate_pairs;
-        self.witnessed_pairs += other.witnessed_pairs;
-        self.budget_exhausted_pairs += other.budget_exhausted_pairs;
-    }
-}
-
 impl fmt::Display for McmStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -288,31 +277,6 @@ mod tests {
     use rapid_gen::benchmarks;
     use rapid_gen::figures;
     use rapid_trace::TraceBuilder;
-
-    #[test]
-    fn stats_merge_sums_every_field() {
-        let mut left = McmStats {
-            windows: 1,
-            candidate_pairs: 4,
-            witnessed_pairs: 2,
-            budget_exhausted_pairs: 1,
-        };
-        left.merge(&McmStats {
-            windows: 2,
-            candidate_pairs: 3,
-            witnessed_pairs: 1,
-            budget_exhausted_pairs: 0,
-        });
-        assert_eq!(
-            left,
-            McmStats {
-                windows: 3,
-                candidate_pairs: 7,
-                witnessed_pairs: 3,
-                budget_exhausted_pairs: 1
-            }
-        );
-    }
 
     #[test]
     fn finds_near_races_inside_a_window() {

@@ -139,8 +139,15 @@ impl TraceBuilder {
     /// and race *pairs of locations* are meaningful even for generated
     /// traces.
     pub fn at(&mut self, location: &str) -> &mut Self {
-        let loc = self.location(location);
-        self.next_location = Some(loc);
+        let location = self.location(location);
+        self.at_location(location)
+    }
+
+    /// Like [`TraceBuilder::at`], for a location already interned with
+    /// [`TraceBuilder::location`] — generators that revisit the same call
+    /// sites skip re-hashing the name.
+    pub fn at_location(&mut self, location: Location) -> &mut Self {
+        self.next_location = Some(location);
         self
     }
 

@@ -46,7 +46,7 @@
 //!
 //! [`AnyReader`] unifies all three behind one iterator and auto-detects
 //! binary inputs by their magic bytes ([`looks_binary`]), which is what the
-//! `engine` CLI's `stream`/`batch`/`convert` subcommands use.
+//! `engine` CLI's `stream`/`multi`/`convert` subcommands use.
 //!
 //! The normative specification of all three encodings — grammar,
 //! optional-location forms, header and string-table layout, endianness and
@@ -422,7 +422,7 @@ impl TextFormat {
 pub type BufferedText = StreamReader<BufReader<io::Chain<io::Cursor<Vec<u8>>, File>>>;
 
 /// One reader over any trace encoding: buffered text, memory-mapped text, or
-/// the binary wire format — the event source behind `engine stream`/`batch`.
+/// the binary wire format — the event source behind every `engine` mode.
 ///
 /// [`AnyReader::open`] sniffs the file's first bytes and routes `.rwf` input
 /// to [`BinReader`] regardless of the requested text flavour, so callers
@@ -564,8 +564,8 @@ impl Iterator for AnyReader {
     }
 }
 
-/// Drains any reader into a fully materialized [`Trace`] (the batch path of
-/// the `engine` CLI, format-agnostic).
+/// Drains any reader into a fully materialized [`Trace`] (what `engine
+/// convert` reads, format-agnostic).
 ///
 /// # Errors
 ///
@@ -598,32 +598,38 @@ pub fn parse_csv(input: &str) -> Result<Trace, ParseError> {
     collect_trace(StreamReader::csv(input.as_bytes()))
 }
 
-fn event_line(trace: &Trace, event_index: usize, separator: char) -> String {
-    let event = &trace.events()[event_index];
-    let thread = trace
-        .thread_name(event.thread())
-        .map(str::to_owned)
-        .unwrap_or_else(|| event.thread().to_string());
-    let target = match event.kind() {
+/// Appends one event's line (without the newline) to `out`, falling back to
+/// raw ids for names the trace does not know.
+fn push_event_line(out: &mut String, trace: &Trace, event: &Event, separator: char) {
+    fn push_name(out: &mut String, name: Option<&str>, id: impl fmt::Display) {
+        use fmt::Write as _;
+        match name {
+            Some(name) => out.push_str(name),
+            None => write!(out, "{id}").expect("writing to a String cannot fail"),
+        }
+    }
+    push_name(out, trace.thread_name(event.thread()), event.thread());
+    out.push(separator);
+    out.push_str(event.kind().mnemonic());
+    out.push('(');
+    match event.kind() {
         EventKind::Acquire(lock) | EventKind::Release(lock) => {
-            trace.lock_name(lock).map(str::to_owned).unwrap_or_else(|| lock.to_string())
+            push_name(out, trace.lock_name(lock), lock)
         }
         EventKind::Read(var) | EventKind::Write(var) => {
-            trace.variable_name(var).map(str::to_owned).unwrap_or_else(|| var.to_string())
+            push_name(out, trace.variable_name(var), var)
         }
         EventKind::Fork(thread) | EventKind::Join(thread) => {
-            trace.thread_name(thread).map(str::to_owned).unwrap_or_else(|| thread.to_string())
+            push_name(out, trace.thread_name(thread), thread)
         }
-    };
+    }
+    out.push(')');
     // An unknown location serializes as the documented absent-location form
     // (two fields), which re-parses into per-event synthetic `line<N>`
     // locations — not as a bogus shared literal.
-    match trace.location_name(event.location()) {
-        Some(location) => format!(
-            "{thread}{separator}{op}({target}){separator}{location}",
-            op = event.kind().mnemonic()
-        ),
-        None => format!("{thread}{separator}{op}({target})", op = event.kind().mnemonic()),
+    if let Some(location) = trace.location_name(event.location()) {
+        out.push(separator);
+        out.push_str(location);
     }
 }
 
@@ -636,8 +642,8 @@ fn event_line(trace: &Trace, event_index: usize, separator: char) -> String {
 /// this in-memory serializer leaves the check to the caller.
 pub fn write_std(trace: &Trace) -> String {
     let mut out = String::new();
-    for index in 0..trace.len() {
-        out.push_str(&event_line(trace, index, '|'));
+    for event in trace.events() {
+        push_event_line(&mut out, trace, event, '|');
         out.push('\n');
     }
     out
@@ -717,8 +723,8 @@ format (convert to .rwf instead)"
 /// [`write_std`] applies, with `,` as the separator.
 pub fn write_csv(trace: &Trace) -> String {
     let mut out = String::from("thread,op,location\n");
-    for index in 0..trace.len() {
-        out.push_str(&event_line(trace, index, ','));
+    for event in trace.events() {
+        push_event_line(&mut out, trace, event, ',');
         out.push('\n');
     }
     out

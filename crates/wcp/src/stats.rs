@@ -84,31 +84,6 @@ impl WcpStats {
             self.pool_recycled as f64 / self.pool_taken as f64
         }
     }
-
-    /// Folds another run's counters into this one: totals (`events`,
-    /// `race_events`, `queue_enqueues`, `clock_joins`, the epoch fast-path
-    /// and pool counters) sum; cardinalities and peaks (`threads`, `locks`,
-    /// `max_queue_entries`) keep the maximum, so the merged
-    /// `threads`/`locks` are a *lower bound* when runs cover disjoint
-    /// shards.  Note the derived ratio
-    /// [`max_queue_percentage`](WcpStats::max_queue_percentage) of a merged
-    /// struct is `max(entries) / summed(events)` — a whole-workload
-    /// occupancy — whereas the engine's metric layer merges the ratio as
-    /// worst-shard `Max`; both semantics are deliberate and test-pinned in
-    /// `rapid-engine`.
-    pub fn merge(&mut self, other: &WcpStats) {
-        self.events += other.events;
-        self.threads = self.threads.max(other.threads);
-        self.locks = self.locks.max(other.locks);
-        self.race_events += other.race_events;
-        self.queue_enqueues += other.queue_enqueues;
-        self.max_queue_entries = self.max_queue_entries.max(other.max_queue_entries);
-        self.clock_joins += other.clock_joins;
-        self.epoch_fast_reads += other.epoch_fast_reads;
-        self.epoch_fast_writes += other.epoch_fast_writes;
-        self.pool_taken += other.pool_taken;
-        self.pool_recycled += other.pool_recycled;
-    }
 }
 
 impl fmt::Display for WcpStats {
@@ -146,48 +121,6 @@ mod tests {
         let stats = WcpStats { events: 200, max_queue_entries: 10, ..WcpStats::default() };
         assert!((stats.max_queue_fraction() - 0.05).abs() < 1e-9);
         assert!((stats.max_queue_percentage() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_sums_totals_and_keeps_peaks() {
-        let mut left = WcpStats {
-            events: 100,
-            threads: 2,
-            locks: 3,
-            race_events: 1,
-            queue_enqueues: 10,
-            max_queue_entries: 4,
-            clock_joins: 20,
-            epoch_fast_reads: 8,
-            epoch_fast_writes: 2,
-            pool_taken: 6,
-            pool_recycled: 5,
-        };
-        let right = WcpStats {
-            events: 50,
-            threads: 5,
-            locks: 1,
-            race_events: 2,
-            queue_enqueues: 5,
-            max_queue_entries: 9,
-            clock_joins: 7,
-            epoch_fast_reads: 1,
-            epoch_fast_writes: 3,
-            pool_taken: 4,
-            pool_recycled: 4,
-        };
-        left.merge(&right);
-        assert_eq!(left.events, 150);
-        assert_eq!(left.threads, 5);
-        assert_eq!(left.locks, 3);
-        assert_eq!(left.race_events, 3);
-        assert_eq!(left.queue_enqueues, 15);
-        assert_eq!(left.max_queue_entries, 9);
-        assert_eq!(left.clock_joins, 27);
-        assert_eq!(left.epoch_fast_reads, 9);
-        assert_eq!(left.epoch_fast_writes, 5);
-        assert_eq!(left.pool_taken, 10);
-        assert_eq!(left.pool_recycled, 9);
     }
 
     #[test]
